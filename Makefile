@@ -1,17 +1,17 @@
 # Developer entry points. `make check` is the full pre-merge gate, in order:
-# fmt -> vet -> lint -> build -> test(-race) -> bench-short -> load-cert-short
-# -> online-demo-short. Cheap textual checks run first, intellilint gates the
-# project invariants before anything compiles twice, the race-enabled tests
-# plus a short benchmark pass close out correctness and gross performance
-# regressions, a short load-certification sweep keeps the serving hot path
-# honest, and a short online-learning drill keeps the drift/rollback loop
-# honest.
+# fmt -> vet -> lint -> build -> test(-race) -> bench-check -> bench-short ->
+# load-cert-short -> online-demo-short. Cheap textual checks run first,
+# intellilint gates the project invariants before anything compiles twice,
+# the race-enabled tests plus the benchmark module's own checks and a short
+# benchmark pass close out correctness and gross performance regressions, a
+# short load-certification sweep keeps the serving hot path honest, and a
+# short online-learning drill keeps the drift/rollback loop honest.
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-fix-list build test bench bench-short bench-all bench-ann load-cert load-cert-short online-demo online-demo-short record-trace trajectory obs-demo swap-demo
+.PHONY: check fmt vet lint lint-fix-list build test bench-check bench bench-short bench-all bench-ann load-cert load-cert-short online-demo online-demo-short record-trace trajectory obs-demo swap-demo
 
-check: fmt vet lint build test bench-short load-cert-short online-demo-short
+check: fmt vet lint build test bench-check bench-short load-cert-short online-demo-short
 
 fmt:
 	@files="$$(gofmt -l .)"; \
@@ -38,6 +38,11 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# benchmark/ is a Go module of its own, so the targets above never compile
+# it; its script runs gofmt, vet, its tests and intellilint over it.
+bench-check:
+	bash benchmark/check.sh
 
 # One quick iteration of the parallel-scaling benchmarks; see EXPERIMENTS.md
 # for the recorded sweep.

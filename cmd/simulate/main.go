@@ -240,14 +240,14 @@ func main() {
 		var st serving.RetrievalStats
 		for _, e := range rs.Engines() {
 			s := e.RetrievalStats()
-			st.Enabled, st.Backend, st.IndexSize = s.Enabled, s.Backend, s.IndexSize
+			st.Enabled, st.Backend, st.IndexSize, st.IndexBuilds = s.Enabled, s.Backend, s.IndexSize, s.IndexBuilds
 			st.ANN += s.ANN
 			st.Fallback += s.Fallback
 			st.Exhaustive += s.Exhaustive
 			st.ColdStart += s.ColdStart
 		}
-		fmt.Printf("retrieval: enabled=%v backend=%s index=%d | paths ann=%d fallback=%d exhaustive=%d coldstart=%d\n",
-			st.Enabled, st.Backend, st.IndexSize, st.ANN, st.Fallback, st.Exhaustive, st.ColdStart)
+		fmt.Printf("retrieval: enabled=%v backend=%s index=%d builds=%d | paths ann=%d fallback=%d exhaustive=%d coldstart=%d\n",
+			st.Enabled, st.Backend, st.IndexSize, st.IndexBuilds, st.ANN, st.Fallback, st.Exhaustive, st.ColdStart)
 	}
 }
 

@@ -39,7 +39,8 @@ func DefaultFineTuneConfig() FineTuneConfig {
 // reusing the pooled mini-batch train loop. sessions are raw click sequences;
 // they are prefix-expanded exactly as the offline trainers do. Returns the
 // final-epoch mean loss. The model must already be frozen — the caller
-// typically just loaded it from a snapshot version, which freezes on load.
+// typically just loaded it from a snapshot version, which restores the
+// stored table on load.
 func FineTune(m *Model, sessions [][]int, cfg FineTuneConfig) (float64, error) {
 	if m.Frozen == nil {
 		return 0, ErrNotFrozen

@@ -188,6 +188,9 @@ func (e *GraphEncoder) release(c *tagForward) {
 // until the cache is released (Backward releases it), and must be copied by
 // callers that need them longer.
 func (e *GraphEncoder) Forward(tag int) ([]float64, *tagForward) {
+	if e.Neighbors == nil {
+		panic("core: graph encoder has no metapath neighbour cache; a model restored by LoadSnapshotVersion serves its stored embedding table, build with core.Build to run the graph layers")
+	}
 	hd := e.Heads * e.Dim
 	cache := tfPool.Get().(*tagForward)
 	cache.tag = tag

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"intellitag/internal/hetgraph"
+	"intellitag/internal/nn"
 	"intellitag/internal/snapshot"
 )
 
@@ -67,10 +68,14 @@ func CommitChildSnapshot(s *snapshot.Store, m *Model, g *hetgraph.Graph, parent 
 
 // LoadSnapshotVersion verifies a committed version's checksums, rebuilds the
 // model from the stored graph and configuration, restores its parameters and
-// freezes the embedding table, returning a model ready to serve. Each call
-// returns a fresh model, so concurrent serving buckets never share scorer
-// state. cfg must match the training-time configuration; drift fails loudly
-// in the parameter loader.
+// restores the stored embedding table as Frozen, returning a model ready to
+// serve and to fine-tune. The table is the one the offline side computed
+// (Section V-B's precomputed tag embeddings): the model is built without the
+// metapath neighbour cache and never runs the graph layers, so calling
+// GraphEncoder.Forward on it panics. Each call returns a fresh model, so
+// concurrent serving buckets never share scorer state. cfg must match the
+// training-time configuration; drift fails loudly in the parameter loader
+// and in the table's shape check.
 func LoadSnapshotVersion(s *snapshot.Store, id string, cfg Config) (*Model, *hetgraph.Graph, error) {
 	if err := s.Verify(id); err != nil {
 		return nil, nil, err
@@ -87,10 +92,22 @@ func LoadSnapshotVersion(s *snapshot.Store, id string, cfg Config) (*Model, *het
 	if err != nil {
 		return nil, nil, err
 	}
-	m := Build(cfg, g, nil)
+	embPath, err := s.Path(id, SnapEmbeddings)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := build(cfg, g, nil, false)
 	if err := m.Load(paramsPath); err != nil {
 		return nil, nil, fmt.Errorf("core: load snapshot %s: %w", id, err)
 	}
-	m.Freeze()
+	frozen, err := nn.LoadMatrix(embPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: load snapshot %s: %w", id, err)
+	}
+	if frozen.Rows != m.NumTags || frozen.Cols != cfg.Dim {
+		return nil, nil, fmt.Errorf("core: load snapshot %s: embedding table %dx%d, model wants %dx%d",
+			id, frozen.Rows, frozen.Cols, m.NumTags, cfg.Dim)
+	}
+	m.Frozen = frozen
 	return m, g, nil
 }

@@ -60,8 +60,22 @@ func (cfg TrainConfig) batchSize() int {
 // wiring the ablation flags into both levels. initFeatures (optional) seeds
 // the node features with text-derived vectors.
 func Build(cfg Config, graph *hetgraph.Graph, initFeatures *mat.Matrix) *Model {
+	return build(cfg, graph, initFeatures, true)
+}
+
+// build is Build with the metapath neighbour cache optional. Without it the
+// graph layers cannot run (GraphEncoder.Forward panics), which is what a
+// model restored from a snapshot wants: it serves and fine-tunes from the
+// stored embedding table, and enumerating every tag's metapath neighbours
+// is most of what building costs. The cache's RNG fork is drawn either way,
+// so the layers initialised after it see the same random stream.
+func build(cfg Config, graph *hetgraph.Graph, initFeatures *mat.Matrix, neighbors bool) *Model {
 	g := mat.NewRNG(cfg.Seed)
-	cache := hetgraph.BuildNeighborCache(graph, cfg.NeighborCap, g.Fork())
+	cacheRNG := g.Fork()
+	var cache *hetgraph.NeighborCache
+	if neighbors {
+		cache = hetgraph.BuildNeighborCache(graph, cfg.NeighborCap, cacheRNG)
+	}
 	paths := cfg.Metapaths
 	if paths == nil {
 		paths = hetgraph.AllMetapaths

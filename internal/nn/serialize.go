@@ -82,9 +82,9 @@ func LoadParams(path string, params []*Param) error {
 		if !ok {
 			return fmt.Errorf("nn: snapshot missing parameter %q", p.Name)
 		}
-		if b.Rows != p.Value.Rows || b.Cols != p.Value.Cols {
-			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot %dx%d",
-				p.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols)
+		if b.Rows != p.Value.Rows || b.Cols != p.Value.Cols || len(b.Data) != len(p.Value.Data) {
+			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot %dx%d with %d values",
+				p.Name, p.Value.Rows, p.Value.Cols, b.Rows, b.Cols, len(b.Data))
 		}
 		copy(p.Value.Data, b.Data)
 	}
@@ -96,7 +96,9 @@ func SaveMatrix(path string, m *mat.Matrix) error {
 	return SaveParams(path, []*Param{{Name: "matrix", Value: m, Grad: mat.New(0, 0)}})
 }
 
-// LoadMatrix reads a matrix written by SaveMatrix.
+// LoadMatrix reads a matrix written by SaveMatrix. A blob whose values do
+// not fill its declared shape is an error, not a panic: the checksum only
+// proves the file is the one written, not that its writer was sane.
 func LoadMatrix(path string) (*mat.Matrix, error) {
 	blobs, err := readBlobs(path)
 	if err != nil {
@@ -105,5 +107,9 @@ func LoadMatrix(path string) (*mat.Matrix, error) {
 	if len(blobs) != 1 {
 		return nil, fmt.Errorf("nn: matrix file holds %d entries", len(blobs))
 	}
-	return mat.NewFrom(blobs[0].Rows, blobs[0].Cols, blobs[0].Data), nil
+	b := blobs[0]
+	if b.Rows < 0 || b.Cols < 0 || len(b.Data) != b.Rows*b.Cols {
+		return nil, fmt.Errorf("nn: load matrix: shape %dx%d with %d values", b.Rows, b.Cols, len(b.Data))
+	}
+	return mat.NewFrom(b.Rows, b.Cols, b.Data), nil
 }

@@ -66,11 +66,13 @@ const sessionShardCount = 16
 // recEntry is a memoized RecommendTags result for one session. The serving
 // inputs are the session history plus the active version's catalog and
 // scorer, so the ranked list only changes when the history mutates or the
-// model version flips; the entry records the version it was computed on and
-// a hit requires an exact version match, which is what makes a hot swap
-// invalidate every memo without touching the shards.
+// model version flips; the entry records the generation of the version it
+// was computed on and a hit requires an exact match, which is what makes a
+// hot swap invalidate every memo without touching the shards. It holds the
+// generation number, not the version: an idle session's stale entry must
+// not keep a retired model, index and scorer pool reachable.
 type recEntry struct {
-	ver       *modelVersion
+	gen       uint64
 	tenant, k int
 	recs      []ScoredTag
 }
@@ -160,9 +162,11 @@ type Engine struct {
 
 	// retrieval is the ANN candidate-retrieval config applied to versions
 	// installed by Swap (setup-time; see SetRetrieval). retrievalPaths counts
-	// recommendation computations by serving path for /healthz.
+	// recommendation computations by serving path and annBuilds the ANN
+	// indexes built for installed versions, both for /healthz.
 	retrieval      RetrievalConfig
 	retrievalPaths [numRetrievalPaths]atomic.Int64
+	annBuilds      atomic.Int64
 
 	// tel is the optional telemetry sink (SetTelemetry). When nil the engine
 	// pays one pointer comparison per instrumented site and nothing else.
@@ -270,7 +274,7 @@ func (e *Engine) recommendTags(ctx context.Context, v *modelVersion, tenant, ses
 		ver     uint64
 		history []int
 	)
-	if c, ok := sh.recs[session]; ok && c.ver == v && c.tenant == tenant && c.k == k {
+	if c, ok := sh.recs[session]; ok && c.gen == v.gen && c.tenant == tenant && c.k == k {
 		hit = true
 		memo = append([]ScoredTag(nil), c.recs...)
 	} else {
@@ -325,11 +329,11 @@ func (e *Engine) recommendTags(ctx context.Context, v *modelVersion, tenant, ses
 	}
 	// Store only if no history in this shard mutated while we scored — a
 	// concurrent Click may have invalidated the entry we are about to write.
-	// The entry remembers its version, so a memo computed on a retired
-	// version can never answer a request on the new one.
+	// The entry remembers its version's generation, so a memo computed on a
+	// retired version can never answer a request on the new one.
 	sh.mu.Lock()
 	if sh.ver == ver {
-		sh.recs[session] = recEntry{ver: v, tenant: tenant, k: k, recs: append([]ScoredTag(nil), out...)}
+		sh.recs[session] = recEntry{gen: v.gen, tenant: tenant, k: k, recs: append([]ScoredTag(nil), out...)}
 	}
 	sh.mu.Unlock()
 	return out

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,15 +69,19 @@ const (
 var retrievalPathNames = [numRetrievalPaths]string{"ann", "fallback", "exhaustive", "coldstart"}
 
 // RetrievalStats is the externally visible retrieval accounting of one engine
-// replica, reported by /healthz and the simulator summary.
+// replica, reported by /healthz and the simulator summary. IndexBuilds
+// counts the ANN indexes built for versions this replica installed; a swap
+// whose embedding table equals the outgoing one's shares the index and adds
+// nothing.
 type RetrievalStats struct {
-	Enabled    bool   `json:"enabled"`
-	Backend    string `json:"backend,omitempty"`
-	IndexSize  int    `json:"index_size,omitempty"`
-	ANN        int64  `json:"ann"`
-	Fallback   int64  `json:"fallback"`
-	Exhaustive int64  `json:"exhaustive"`
-	ColdStart  int64  `json:"coldstart"`
+	Enabled     bool   `json:"enabled"`
+	Backend     string `json:"backend,omitempty"`
+	IndexSize   int    `json:"index_size,omitempty"`
+	IndexBuilds int64  `json:"index_builds"`
+	ANN         int64  `json:"ann"`
+	Fallback    int64  `json:"fallback"`
+	Exhaustive  int64  `json:"exhaustive"`
+	ColdStart   int64  `json:"coldstart"`
 }
 
 // RetrievalStats reports this engine's retrieval path counts and the active
@@ -84,10 +89,11 @@ type RetrievalStats struct {
 func (e *Engine) RetrievalStats() RetrievalStats {
 	v := e.cur.Load()
 	st := RetrievalStats{
-		ANN:        e.retrievalPaths[pathANN].Load(),
-		Fallback:   e.retrievalPaths[pathFallback].Load(),
-		Exhaustive: e.retrievalPaths[pathExhaustive].Load(),
-		ColdStart:  e.retrievalPaths[pathColdStart].Load(),
+		IndexBuilds: e.annBuilds.Load(),
+		ANN:         e.retrievalPaths[pathANN].Load(),
+		Fallback:    e.retrievalPaths[pathFallback].Load(),
+		Exhaustive:  e.retrievalPaths[pathExhaustive].Load(),
+		ColdStart:   e.retrievalPaths[pathColdStart].Load(),
 	}
 	if tr := v.tags; tr != nil {
 		st.Enabled = true
@@ -115,7 +121,8 @@ type retrievalScratch struct {
 // scorer's tag-embedding table plus per-tenant membership sets. It is built at
 // version construction time — before warm and the pointer flip — so hot swaps
 // stay zero-downtime and every replica shares one index. Immutable once built;
-// safe for concurrent retrieve calls.
+// safe for concurrent retrieve calls. The index is immutable too, which is
+// what lets a later version with an identical table reuse it.
 type tagRetriever struct {
 	cfg     RetrievalConfig
 	index   ann.Retriever
@@ -126,15 +133,10 @@ type tagRetriever struct {
 	sampled atomic.Int64 // ANN retrievals since start, for recall sampling
 }
 
-// newTagRetriever indexes the embedding table with the configured backend.
-func newTagRetriever(vecs *mat.Matrix, catalog Catalog, cfg RetrievalConfig) *tagRetriever {
-	tr := &tagRetriever{cfg: cfg, vecs: vecs, members: make(map[int][]int, len(catalog.TenantTags))}
-	switch cfg.Backend {
-	case "lsh":
-		tr.index = ann.Build(vecs, ann.DefaultConfig())
-	default:
-		tr.index = ann.BuildGraph(vecs, ann.DefaultGraphConfig())
-	}
+// newTagRetriever wraps an ANN index over the embedding table with the
+// catalog's tenant membership lists.
+func newTagRetriever(index ann.Retriever, vecs *mat.Matrix, catalog Catalog, cfg RetrievalConfig) *tagRetriever {
+	tr := &tagRetriever{cfg: cfg, index: index, vecs: vecs, members: make(map[int][]int, len(catalog.TenantTags))}
 	tenants := make([]int, 0, len(catalog.TenantTags))
 	for tenant := range catalog.TenantTags {
 		tenants = append(tenants, tenant)
@@ -154,23 +156,58 @@ func newTagRetriever(vecs *mat.Matrix, catalog Catalog, cfg RetrievalConfig) *ta
 	return tr
 }
 
-// attachRetrieval builds the version's retriever, or leaves it nil when
+// attachRetrieval gives the version its retriever, or leaves it nil when
 // retrieval is off, the scorer has no embedding table, or the table is empty.
-// Called during version construction, never on a live version.
-func (v *modelVersion) attachRetrieval(cfg RetrievalConfig) {
+// When prev (the outgoing version, may be nil) has a retriever on the same
+// backend over an identical table, its ANN index is reused — the index is a
+// deterministic function of (table, backend), so panels stay bit-identical —
+// and only the tenant membership lists are rebuilt. Reports whether it built
+// a new index. Called during version construction, never on a live version.
+func (v *modelVersion) attachRetrieval(cfg RetrievalConfig, prev *modelVersion) bool {
 	v.tags = nil
 	if !cfg.Enabled {
-		return
+		return false
 	}
 	emb, ok := v.scorer.(TagEmbedder)
 	if !ok {
-		return
+		return false
 	}
 	vecs := emb.TagEmbeddings()
 	if vecs == nil || vecs.Rows == 0 {
-		return
+		return false
 	}
-	v.tags = newTagRetriever(vecs, v.catalog, cfg.normalize())
+	cfg = cfg.normalize()
+	if prev != nil && prev.tags != nil && prev.tags.cfg.Backend == cfg.Backend && sameTable(prev.tags.vecs, vecs) {
+		v.tags = newTagRetriever(prev.tags.index, vecs, v.catalog, cfg)
+		return false
+	}
+	var index ann.Retriever
+	switch cfg.Backend {
+	case "lsh":
+		index = ann.Build(vecs, ann.DefaultConfig())
+	default:
+		index = ann.BuildGraph(vecs, ann.DefaultGraphConfig())
+	}
+	v.tags = newTagRetriever(index, vecs, v.catalog, cfg)
+	return true
+}
+
+// sameTable reports whether two embedding tables are bit-for-bit identical.
+// At serving scale (10^3 tags x 16 dims) the scan costs microseconds; an
+// index build costs tens of milliseconds.
+func sameTable(a, b *mat.Matrix) bool {
+	if a == b {
+		return true
+	}
+	if a.Rows != b.Rows || a.Cols != b.Cols || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i, x := range a.Data {
+		if math.Float64bits(x) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // centroid writes the mean embedding of the last historyWindow clicks into
@@ -294,7 +331,9 @@ func (tr *tagRetriever) sampledRecall(history []int, tenant int, got []int) floa
 // requests or swaps.
 func (e *Engine) SetRetrieval(cfg RetrievalConfig) {
 	e.retrieval = cfg
-	e.cur.Load().attachRetrieval(cfg)
+	if e.cur.Load().attachRetrieval(cfg, nil) {
+		e.annBuilds.Add(1)
+	}
 }
 
 // SetRetrieval configures ANN candidate retrieval across the set. The
@@ -303,7 +342,17 @@ func (rs *ReplicaSet) SetRetrieval(cfg RetrievalConfig) {
 	for _, e := range rs.replicas {
 		e.retrieval = cfg
 	}
-	rs.replicas[0].cur.Load().attachRetrieval(cfg)
+	if rs.replicas[0].cur.Load().attachRetrieval(cfg, nil) {
+		rs.noteIndexBuild()
+	}
+}
+
+// noteIndexBuild counts one ANN index build on every replica: they all
+// install the version that carries it.
+func (rs *ReplicaSet) noteIndexBuild() {
+	for _, e := range rs.replicas {
+		e.annBuilds.Add(1)
+	}
 }
 
 // noteRetrievalPath counts one recommendation computation's serving path.

@@ -224,8 +224,8 @@ func TestSwapRebuildsRetrieverAndInvalidatesMemo(t *testing.T) {
 	_, scorerB := retrievalFixture(16, 16, 12, 999, tenants)
 	e.Swap(&ModelBundle{VersionID: "v0002-bbbbbbbb", Catalog: cat, Index: search.NewIndex(), Scorer: scorerB})
 	newTR := e.cur.Load().tags
-	if newTR == nil || newTR == oldTR {
-		t.Fatalf("swap kept the old retriever: old=%p new=%p", oldTR, newTR)
+	if newTR == nil || newTR == oldTR || newTR.index == oldTR.index {
+		t.Fatalf("swap kept the old retriever or index: old=%p new=%p", oldTR, newTR)
 	}
 	after := e.RecommendTags(ctx, tenant, session, k)
 	if len(after) != k {

@@ -37,17 +37,21 @@ type ModelBundle struct {
 // exclusion for scorers whose forward passes cache intermediates.
 type modelVersion struct {
 	id      string
-	seq     int // numeric sequence for gauges; -1 when unversioned
+	seq     int    // numeric sequence for gauges; -1 when unversioned
+	gen     uint64 // process-unique generation, the rec memos' key
 	catalog Catalog
 	index   *search.Index
 	scorer  Scorer
 	matcher QuestionMatcher
 
 	// tags is the version's ANN candidate retriever, nil when retrieval is
-	// disabled or the scorer exposes no embedding table. Built before the
-	// version goes live (attachRetrieval) and immutable afterwards, so a hot
-	// swap replaces the index atomically with everything else and the
-	// version-keyed rec memos invalidate retrieval results for free.
+	// disabled or the scorer exposes no embedding table. Attached before the
+	// version goes live (attachRetrieval) and immutable afterwards. Its ANN
+	// index is built for this version's embedding table, or shared with the
+	// outgoing version when the two tables are identical (the online
+	// learner's fine-tuned children keep their parent's table); either way a
+	// hot swap installs it atomically with everything else, and the
+	// generation-keyed rec memos invalidate retrieval results for free.
 	tags *tagRetriever
 
 	// scorers is the checkout pool. It always holds at least the scorer
@@ -63,6 +67,10 @@ type modelVersion struct {
 	inflight atomic.Int64
 }
 
+// versionGen numbers model versions in construction order; generations
+// start at 1, so a zero recEntry never matches.
+var versionGen atomic.Uint64
+
 // newModelVersion builds a version from a bundle with a workers-wide scorer
 // pool (<= 1 keeps a single-slot pool).
 func newModelVersion(b *ModelBundle, workers int) *modelVersion {
@@ -73,6 +81,7 @@ func newModelVersion(b *ModelBundle, workers int) *modelVersion {
 	v := &modelVersion{
 		id:      id,
 		seq:     snapshot.SeqOf(id),
+		gen:     versionGen.Add(1),
 		catalog: b.Catalog,
 		index:   b.Index,
 		scorer:  b.Scorer,
@@ -178,13 +187,17 @@ func (e *Engine) Version() VersionInfo {
 	}
 }
 
-// Swap hot-swaps this engine to a new model bundle: build the version, warm
-// it, flip the pointer, drain the old version. Requests in flight when the
-// pointer flips finish on the version they started with; requests arriving
-// after the flip see only the new version. Zero requests are dropped.
+// Swap hot-swaps this engine to a new model bundle: build the version,
+// attach retrieval (sharing the outgoing version's ANN index when the
+// embedding table is unchanged), warm it, flip the pointer, drain the old
+// version. Requests in flight when the pointer flips finish on the version
+// they started with; requests arriving after the flip see only the new
+// version. Zero requests are dropped.
 func (e *Engine) Swap(b *ModelBundle) VersionInfo {
 	v := newModelVersion(b, e.workers)
-	v.attachRetrieval(e.retrieval) // index built off-line, before the flip
+	if v.attachRetrieval(e.retrieval, e.cur.Load()) { // before the flip
+		e.annBuilds.Add(1)
+	}
 	v.warm()
 	return e.swapTo(v)
 }
@@ -277,16 +290,20 @@ func (rs *ReplicaSet) Versions() []VersionInfo {
 }
 
 // RollingSwap hot-swaps the whole set to a new bundle one replica at a time:
-// the version is built and warmed once, then each replica flips, with an
-// optional stagger pause between flips. Mid-roll the set intentionally
-// serves two versions — sessions pinned to already-flipped replicas see the
-// new model while the rest still see the old one — which is exactly the
-// canary window a production rolling deploy has. The retired version is
+// the version is built and warmed once (its ANN index shared with the
+// outgoing version when the embedding table is unchanged), then each
+// replica flips, with an optional stagger pause between flips. Mid-roll the
+// set intentionally serves two versions — sessions pinned to
+// already-flipped replicas see the new model while the rest still see the
+// old one — which is exactly the canary window a production rolling deploy
+// has. The retired version is
 // drained once, after the last flip: the replicas share it, so its in-flight
 // count can only reach zero when no replica routes new traffic to it.
 func (rs *ReplicaSet) RollingSwap(b *ModelBundle, stagger time.Duration) []VersionInfo {
 	v := newModelVersion(b, rs.replicas[0].workers)
-	v.attachRetrieval(rs.replicas[0].retrieval) // shared index, built pre-flip
+	if v.attachRetrieval(rs.replicas[0].retrieval, rs.replicas[0].cur.Load()) { // pre-flip
+		rs.noteIndexBuild()
+	}
 	v.warm()
 	var retired []*modelVersion
 	for i, e := range rs.replicas {

@@ -2,8 +2,11 @@ package textproc
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"intellitag/internal/mat"
 )
@@ -337,5 +340,58 @@ func TestAnswerSelectorLengthPenalty(t *testing.T) {
 func TestNormalizeQuestion(t *testing.T) {
 	if NormalizeQuestion("How  TO Change?") != "how to change" {
 		t.Fatalf("got %q", NormalizeQuestion("How  TO Change?"))
+	}
+}
+
+// referenceTokenize is the strings.ToLower + strings.Builder tokenizer that
+// NextToken replaced, kept as its specification.
+func referenceTokenize(s string) []string {
+	var tokens []string
+	var b strings.Builder
+	flush := func() {
+		if b.Len() > 0 {
+			tokens = append(tokens, b.String())
+			b.Reset()
+		}
+	}
+	for _, r := range strings.ToLower(s) {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(r)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return tokens
+}
+
+// TestTokenizeMatchesReference compares the tokenizer with its reference on
+// hand-picked edge cases (case mapping outside ASCII, title case, non-Latin
+// digits, symbols whose lowercase is still a symbol, invalid UTF-8) and on
+// seeded random strings drawn from the same alphabet.
+func TestTokenizeMatchesReference(t *testing.T) {
+	cases := []string{
+		"", " ", "How to change PASSWORD?  quickly-now", "支付宝 password",
+		"ÀÉÎÕÜ ß ǅungla İstanbul ΣΊΣΥΦΟΣ", "Ⅻ ⅻ Ⓐⓑ ١٢٣ 4x4", "a\xffb \xc3 \xe2\x82", "emoji🙂mid",
+		"İı K K", "tab\tnew\nline", "x", "--", "ABC123def",
+	}
+	alphabet := []rune("aZ09 _-.?ÀßǅİıΣσςKⅫⓐ١🙂支�\t")
+	rng := mat.NewRNG(13)
+	for i := 0; i < 2000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			if rng.Intn(16) == 0 {
+				b.WriteByte(byte(0x80 + rng.Intn(0x80))) // stray continuation / lead byte
+				continue
+			}
+			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
+		}
+		cases = append(cases, b.String())
+	}
+	for _, s := range cases {
+		got, want := Tokenize(s), referenceTokenize(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
 	}
 }

@@ -7,30 +7,43 @@ package textproc
 
 import (
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lowercases s and splits it into word tokens, treating any
 // non-letter/non-digit rune as a separator.
 func Tokenize(s string) []string {
 	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
+	var buf []byte
+	for i := 0; ; {
+		buf, i = NextToken(s, i, buf)
+		if len(buf) == 0 {
+			return tokens
 		}
+		tokens = append(tokens, string(buf))
 	}
-	for _, r := range strings.ToLower(s) {
+}
+
+// NextToken is Tokenize one token at a time, without allocating: it scans s
+// from byte offset i, writes the next token's lowercased runes into buf
+// (reusing its capacity) and returns the token and the offset to resume
+// from. An empty token means s holds no more. Runes are lowercased one at a
+// time exactly as strings.ToLower does, and invalid UTF-8 decodes to
+// utf8.RuneError, a separator, so the tokens are Tokenize's byte for byte.
+func NextToken(s string, i int, buf []byte) ([]byte, int) {
+	buf = buf[:0]
+	for i < len(s) {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		i += w
+		r = unicode.ToLower(r)
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
-		} else {
-			flush()
+			buf = utf8.AppendRune(buf, r)
+		} else if len(buf) > 0 {
+			break
 		}
 	}
-	flush()
-	return tokens
+	return buf, i
 }
 
 // Vocab is a bidirectional word <-> id mapping. ID 0 is reserved for the
